@@ -105,8 +105,9 @@ pub struct Config {
 }
 
 /// The default configuration for this repository: panic-denied modules are
-/// the serve tier, the executor, and the index scan kernels; the covered
-/// stats structs are `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`;
+/// the serve tier, the executor, the index scan kernels, and the rerank
+/// transformer with its attention kernel; the covered stats structs are
+/// `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`;
 /// the lock hierarchy is whatever `hierarchy` pairs the caller parsed from
 /// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
 pub fn default_config(hierarchy: &[(String, String)]) -> Config {
@@ -133,6 +134,11 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // into the scan kernels above; a panic here is a panic on the
                 // query path.
                 "lovo-index/src/store.rs".to_string(),
+                // The cross-modality rerank and the attention kernel under it
+                // are most of every reranked query's time; they run inside
+                // serve workers, so a panic there loses the request.
+                "lovo-encoder/src/cross_modality.rs".to_string(),
+                "lovo-tensor/src/attention.rs".to_string(),
             ],
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),

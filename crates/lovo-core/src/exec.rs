@@ -24,7 +24,7 @@ use crate::planner::QueryPlan;
 use crate::summary::{split_patch_id, PATCH_COLLECTION};
 use crate::{LovoError, Result};
 use lovo_encoder::cross_modality::CandidateFrame;
-use lovo_encoder::{QueryEmbedding, RerankedFrame};
+use lovo_encoder::{rerank_order, QueryEmbedding, RerankedFrame};
 use lovo_index::SearchStats;
 use lovo_store::{BatchQuery, JoinedHit, PushdownFilter};
 use lovo_video::bbox::BoundingBox;
@@ -85,16 +85,13 @@ pub fn coarse_hit_order(a: &CoarseHit, b: &CoarseHit) -> Ordering {
         .then_with(|| a.patch_id.cmp(&b.patch_id))
 }
 
-/// The reranked output order: cross-modality score descending, then frame
-/// index, then video id — the exact sort `rerank_with_constraints` applies
-/// internally, exposed so the shard router's merge of per-shard reranked
-/// lists reproduces the single-engine sequence.
+/// The reranked output order, [`lovo_encoder::rerank_order`] — the sort
+/// `rerank_with_constraints` applies internally — over ranked objects, so the
+/// shard router's merge of per-shard reranked lists reproduces the
+/// single-engine sequence.
 pub fn reranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.frame_index.cmp(&b.frame_index))
-        .then_with(|| a.video_id.cmp(&b.video_id))
+    let key = |r: &RankedObject| (r.score, r.frame_index as usize, r.video_id);
+    rerank_order(key(a), key(b))
 }
 
 /// The ablation (rerank-disabled) output order: fast-search score

@@ -30,7 +30,9 @@ pub mod space;
 pub mod text;
 pub mod visual;
 
-pub use cross_modality::{CrossModalityConfig, CrossModalityTransformer, RerankedFrame};
+pub use cross_modality::{
+    rerank_order, CrossModalityConfig, CrossModalityTransformer, RerankedFrame,
+};
 pub use detector::{Detection, DetectorConfig, SimulatedDetector};
 pub use space::{AttributeFacet, AttributeSpace};
 pub use text::{QueryEmbedding, TextEncoder, TextEncoderConfig};

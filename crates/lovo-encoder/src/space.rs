@@ -19,9 +19,9 @@
 
 use lovo_tensor::init::rng_for;
 use lovo_tensor::ops::l2_normalize;
-use lovo_video::object::Color;
+use lovo_video::object::{Accessory, Activity, Color, Gender, Location, Relation, SizeClass};
 use lovo_video::query::QueryConstraints;
-use lovo_video::ObjectAttributes;
+use lovo_video::{ObjectAttributes, ObjectClass};
 use rand::Rng;
 
 /// The semantic facets that own directions in the space.
@@ -63,6 +63,65 @@ impl AttributeFacet {
             AttributeFacet::Accessory => "accessory",
             AttributeFacet::Gender => "gender",
         }
+    }
+}
+
+/// The identity of one fine-grained token: which vector of the space it is.
+/// Equal keys always yield bit-identical vectors
+/// ([`AttributeSpace::fine_token_vector`]), so work that depends only on a
+/// token can run once per distinct key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum FineToken {
+    /// The plain direction of `(facet, code)`.
+    Facet(AttributeFacet, usize),
+    /// A colour, whose vector blends its own and its family's direction
+    /// ([`AttributeSpace::color_direction`]).
+    Color(Color),
+}
+
+/// The facet values a fine token list is built from: every field of an
+/// object's attributes, or the fields a query constrains.
+struct FacetValues<'a> {
+    class: Option<ObjectClass>,
+    color: Option<Color>,
+    size: Option<SizeClass>,
+    activity: Option<Activity>,
+    location: Option<Location>,
+    gender: Option<Gender>,
+    relation: Option<Relation>,
+    accessories: &'a [Accessory],
+}
+
+impl FacetValues<'_> {
+    /// Appends one token per present facet value. This is the single place
+    /// that decides which facets become fine tokens, and in which order.
+    fn push_tokens(&self, out: &mut Vec<FineToken>) {
+        use AttributeFacet as F;
+        out.extend(self.class.map(|c| FineToken::Facet(F::Class, c.code())));
+        out.extend(self.color.map(FineToken::Color));
+        out.extend(self.size.map(|s| FineToken::Facet(F::Size, s.code())));
+        out.extend(
+            self.activity
+                .map(|a| FineToken::Facet(F::Activity, a.code())),
+        );
+        out.extend(
+            self.location
+                .map(|l| FineToken::Facet(F::Location, l.code())),
+        );
+        if let Some(gender) = self.gender.filter(|g| g.code() != 0) {
+            out.push(FineToken::Facet(F::Gender, gender.code()));
+        }
+        if let Some(relation) = self.relation.filter(|r| r.kind_code() != 0) {
+            out.push(FineToken::Facet(F::RelationKind, relation.kind_code()));
+            if let Some(peer) = relation.peer() {
+                out.push(FineToken::Facet(F::RelationPeer, peer.code()));
+            }
+        }
+        out.extend(
+            self.accessories
+                .iter()
+                .map(|a| FineToken::Facet(F::Accessory, a.code())),
+        );
     }
 }
 
@@ -328,66 +387,67 @@ impl AttributeSpace {
         acc
     }
 
+    /// The vector of one fine token.
+    pub(crate) fn fine_token_vector(&self, token: FineToken) -> Vec<f32> {
+        match token {
+            FineToken::Facet(facet, code) => self.direction(facet, code),
+            FineToken::Color(color) => self.color_direction(color),
+        }
+    }
+
+    /// Appends the fine token keys of an object — one per present facet —
+    /// to `out`.
+    pub(crate) fn fine_token_keys_of_attributes(
+        attrs: &ObjectAttributes,
+        out: &mut Vec<FineToken>,
+    ) {
+        FacetValues {
+            class: Some(attrs.class),
+            color: Some(attrs.color),
+            size: Some(attrs.size),
+            activity: Some(attrs.activity),
+            location: Some(attrs.location),
+            gender: Some(attrs.gender),
+            relation: Some(attrs.relation),
+            accessories: &attrs.accessories,
+        }
+        .push_tokens(out);
+    }
+
+    /// The fine token keys of a query's constraints — one per constrained
+    /// facet.
+    pub(crate) fn fine_token_keys_of_constraints(constraints: &QueryConstraints) -> Vec<FineToken> {
+        let mut out = Vec::new();
+        FacetValues {
+            class: constraints.class,
+            color: constraints.color,
+            size: constraints.size,
+            activity: constraints.activity,
+            location: constraints.location,
+            gender: constraints.gender,
+            relation: constraints.relation,
+            accessories: &constraints.accessories,
+        }
+        .push_tokens(&mut out);
+        out
+    }
+
     /// Per-facet fine-grained token vectors of an object — one token per
     /// present facet. The cross-modality transformer attends over these.
     pub fn fine_tokens_of_attributes(&self, attrs: &ObjectAttributes) -> Vec<Vec<f32>> {
-        let mut tokens = vec![
-            self.direction(AttributeFacet::Class, attrs.class.code()),
-            self.color_direction(attrs.color),
-            self.direction(AttributeFacet::Size, attrs.size.code()),
-            self.direction(AttributeFacet::Activity, attrs.activity.code()),
-            self.direction(AttributeFacet::Location, attrs.location.code()),
-        ];
-        if attrs.gender.code() != 0 {
-            tokens.push(self.direction(AttributeFacet::Gender, attrs.gender.code()));
-        }
-        if attrs.relation.kind_code() != 0 {
-            tokens.push(self.direction(AttributeFacet::RelationKind, attrs.relation.kind_code()));
-            if let Some(peer) = attrs.relation.peer() {
-                tokens.push(self.direction(AttributeFacet::RelationPeer, peer.code()));
-            }
-        }
-        for acc in &attrs.accessories {
-            tokens.push(self.direction(AttributeFacet::Accessory, acc.code()));
-        }
-        tokens
+        let mut keys = Vec::new();
+        Self::fine_token_keys_of_attributes(attrs, &mut keys);
+        keys.into_iter()
+            .map(|k| self.fine_token_vector(k))
+            .collect()
     }
 
     /// Per-facet fine-grained token vectors of a query's constraints.
     pub fn fine_tokens_of_constraints(&self, constraints: &QueryConstraints) -> Vec<Vec<f32>> {
-        let mut tokens = Vec::new();
-        if let Some(class) = constraints.class {
-            tokens.push(self.direction(AttributeFacet::Class, class.code()));
-        }
-        if let Some(color) = constraints.color {
-            tokens.push(self.color_direction(color));
-        }
-        if let Some(size) = constraints.size {
-            tokens.push(self.direction(AttributeFacet::Size, size.code()));
-        }
-        if let Some(activity) = constraints.activity {
-            tokens.push(self.direction(AttributeFacet::Activity, activity.code()));
-        }
-        if let Some(location) = constraints.location {
-            tokens.push(self.direction(AttributeFacet::Location, location.code()));
-        }
-        if let Some(gender) = constraints.gender {
-            if gender.code() != 0 {
-                tokens.push(self.direction(AttributeFacet::Gender, gender.code()));
-            }
-        }
-        if let Some(relation) = &constraints.relation {
-            if relation.kind_code() != 0 {
-                tokens.push(self.direction(AttributeFacet::RelationKind, relation.kind_code()));
-                if let Some(peer) = relation.peer() {
-                    tokens.push(self.direction(AttributeFacet::RelationPeer, peer.code()));
-                }
-            }
-        }
-        for acc in &constraints.accessories {
-            tokens.push(self.direction(AttributeFacet::Accessory, acc.code()));
-        }
-        tokens
+        Self::fine_token_keys_of_constraints(constraints)
+            .into_iter()
+            .map(|k| self.fine_token_vector(k))
+            .collect()
     }
 
     /// A deterministic "background" embedding for patches that cover no
@@ -524,6 +584,46 @@ mod tests {
         let tokens = s.fine_tokens_of_attributes(&attrs);
         // class, color, size, activity, location + 2 accessories
         assert_eq!(tokens.len(), 7);
+    }
+
+    #[test]
+    fn objects_and_queries_share_one_token_list() {
+        let s = space();
+        let attrs = ObjectAttributes::simple(ObjectClass::Person)
+            .with_color(Color::Light)
+            .with_gender(Gender::Woman)
+            .with_relation(Relation::NextTo(ObjectClass::Car))
+            .with_accessory(Accessory::Hat);
+        let constraints = QueryConstraints {
+            class: Some(attrs.class),
+            color: Some(attrs.color),
+            size: Some(attrs.size),
+            activity: Some(attrs.activity),
+            location: Some(attrs.location),
+            relation: Some(attrs.relation),
+            accessories: attrs.accessories.clone(),
+            gender: Some(attrs.gender),
+        };
+        let mut keys = Vec::new();
+        AttributeSpace::fine_token_keys_of_attributes(&attrs, &mut keys);
+        assert_eq!(
+            keys,
+            AttributeSpace::fine_token_keys_of_constraints(&constraints)
+        );
+        use AttributeFacet as F;
+        let expected = vec![
+            s.direction(F::Class, attrs.class.code()),
+            s.color_direction(attrs.color),
+            s.direction(F::Size, attrs.size.code()),
+            s.direction(F::Activity, attrs.activity.code()),
+            s.direction(F::Location, attrs.location.code()),
+            s.direction(F::Gender, Gender::Woman.code()),
+            s.direction(F::RelationKind, attrs.relation.kind_code()),
+            s.direction(F::RelationPeer, ObjectClass::Car.code()),
+            s.direction(F::Accessory, Accessory::Hat.code()),
+        ];
+        assert_eq!(s.fine_tokens_of_attributes(&attrs), expected);
+        assert_eq!(s.fine_tokens_of_constraints(&constraints), expected);
     }
 
     #[test]

@@ -459,6 +459,9 @@ fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
 /// runs the distinct remainder as one engine pass, fills the cache, and
 /// replies to every waiter with its own wait time stamped in.
 fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+    // Each submission's wait ends here, when its batch is picked up; the
+    // engine pass that follows is already counted by the stage timings.
+    let picked_up = Instant::now();
     // The epoch is read BEFORE executing: a mutation that lands mid-pass
     // bumps the live epoch past this stamp, so the entries filled below are
     // already stale for later lookups — conservative, never wrong.
@@ -490,7 +493,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                     .counters
                     .cache_hits
                     .fetch_add(members.len() as u64, Ordering::Relaxed);
-                reply_all(members, &result, true, 0);
+                reply_all(members, &result, picked_up, true, 0);
             }
             None => run.push((fingerprint, plan, members)),
         }
@@ -525,7 +528,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         Ok(results) => {
             for ((fingerprint, plan, members), result) in run.into_iter().zip(results) {
                 shared.cache.put(fingerprint, &plan, epoch, result.clone());
-                reply_all(members, &result, false, executed - 1);
+                reply_all(members, &result, picked_up, false, executed - 1);
             }
         }
         Err(error) => {
@@ -558,11 +561,20 @@ fn intra_query_workers(shared: &Shared) -> usize {
 }
 
 /// Sends one group's shared result to every waiter, stamping each copy with
-/// that submission's own queue + batch-window wait.
-fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
+/// that submission's own queue + batch-window wait: from enqueue to
+/// `picked_up`, the moment a worker took the batch.
+fn reply_all(
+    members: Vec<Pending>,
+    result: &QueryResult,
+    picked_up: Instant,
+    cache_hit: bool,
+    coalesced_with: usize,
+) {
     for pending in members {
         let mut copy = result.clone();
-        copy.timings.queue_seconds = pending.enqueued.elapsed().as_secs_f64();
+        copy.timings.queue_seconds = picked_up
+            .saturating_duration_since(pending.enqueued)
+            .as_secs_f64();
         // A waiter that gave up (dropped its receiver) is not an error.
         let _ = pending.reply.send(Ok(Served {
             result: copy,
@@ -668,6 +680,25 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.engine_queries, 1);
         assert_eq!(service.cached_results(), 1);
+    }
+
+    #[test]
+    fn solo_query_wait_excludes_engine_time() {
+        // On an idle service the wait ends when a worker picks the query
+        // up, so wait + engine stages fit inside the caller's wall time.
+        let service = QueryService::start(engine(90), ServeConfig::default()).unwrap();
+        let spec = QuerySpec::new("a white truck parked at the left of the road");
+        let started = Instant::now();
+        let served = service.submit(spec).unwrap();
+        let wall = started.elapsed().as_secs_f64();
+        assert!(!served.cache_hit);
+        let timings = served.result.timings;
+        assert!(
+            timings.total_seconds() <= wall,
+            "total {:.6}s (wait {:.6}s) exceeds wall {wall:.6}s",
+            timings.total_seconds(),
+            timings.queue_seconds
+        );
     }
 
     #[test]

@@ -63,41 +63,68 @@ impl MultiHeadAttention {
     }
 
     /// Cross-attention: queries come from `queries`, keys and values from
-    /// `context`. Output has one row per query token.
+    /// `context`. Output has one row per query token. Equal to projecting
+    /// with [`Self::project_q`], [`Self::project_k`] and [`Self::project_v`]
+    /// and then calling [`Self::attend`], which is how it is computed.
     pub fn cross_attention(&self, queries: &Matrix, context: &Matrix) -> Result<Matrix> {
+        self.attend(
+            &self.project_q(queries)?,
+            &self.project_k(context)?,
+            &self.project_v(context)?,
+        )
+    }
+
+    /// The query projection of `tokens`. Each output row depends only on
+    /// the matching input row, so a row projected alone, inside any batch,
+    /// or once into a lookup table is bit-identical.
+    pub fn project_q(&self, tokens: &Matrix) -> Result<Matrix> {
+        self.q_proj.forward(tokens)
+    }
+
+    /// The key projection of `tokens` (row-independent, like
+    /// [`Self::project_q`]).
+    pub fn project_k(&self, tokens: &Matrix) -> Result<Matrix> {
+        self.k_proj.forward(tokens)
+    }
+
+    /// The value projection of `tokens` (row-independent, like
+    /// [`Self::project_q`]).
+    pub fn project_v(&self, tokens: &Matrix) -> Result<Matrix> {
+        self.v_proj.forward(tokens)
+    }
+
+    /// Scaled dot-product attention over already-projected queries `q` and
+    /// keys/values `k`, `v` (one row per context token), followed by the
+    /// output projection. Output has one row per row of `q`; it is all zeros
+    /// when either side has no tokens.
+    pub fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<Matrix> {
         let model_dim = self.model_dim();
-        if queries.cols() != model_dim || context.cols() != model_dim {
+        if q.cols() != model_dim
+            || k.cols() != model_dim
+            || v.cols() != model_dim
+            || k.rows() != v.rows()
+        {
             return Err(TensorError::ShapeMismatch(format!(
-                "cross_attention: queries {}x{}, context {}x{}, model_dim {model_dim}",
-                queries.rows(),
-                queries.cols(),
-                context.rows(),
-                context.cols()
+                "attend: q {}x{}, k {}x{}, v {}x{}, model_dim {model_dim}",
+                q.rows(),
+                q.cols(),
+                k.rows(),
+                k.cols(),
+                v.rows(),
+                v.cols()
             )));
         }
-        if queries.rows() == 0 || context.rows() == 0 {
-            return Ok(Matrix::zeros(queries.rows(), model_dim));
+        if q.rows() == 0 || k.rows() == 0 {
+            return Ok(Matrix::zeros(q.rows(), model_dim));
         }
 
-        let q = self.q_proj.forward(queries)?;
-        let k = self.k_proj.forward(context)?;
-        let v = self.v_proj.forward(context)?;
-
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat = Matrix::zeros(queries.rows(), model_dim);
-
+        let mut concat = Matrix::zeros(q.rows(), model_dim);
         for head in 0..self.num_heads {
             let start = head * self.head_dim;
             let end = start + self.head_dim;
-            let qh = q.columns(start, end)?;
-            let kh = k.columns(start, end)?;
-            let vh = v.columns(start, end)?;
-
-            // scores[i][j] = (q_i . k_j) / sqrt(d_head)
-            let mut scores = qh.matmul_transposed(&kh)?.scale(scale);
-            softmax_rows(&mut scores);
-            let head_out = scores.matmul(&vh)?;
-
+            let head_out = self
+                .head_weights(q, k, head)?
+                .matmul(&v.columns(start, end)?)?;
             for r in 0..concat.rows() {
                 concat.row_mut(r)[start..end].copy_from_slice(head_out.row(r));
             }
@@ -106,34 +133,31 @@ impl MultiHeadAttention {
         self.out_proj.forward(&concat)
     }
 
+    /// One head's attention weights: `softmax(q_h k_h^T / sqrt(d_head))`
+    /// over the head's column slice of the projected `q` and `k`.
+    fn head_weights(&self, q: &Matrix, k: &Matrix, head: usize) -> Result<Matrix> {
+        let start = head * self.head_dim;
+        let end = start + self.head_dim;
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let mut scores = q
+            .columns(start, end)?
+            .matmul_transposed(&k.columns(start, end)?)?
+            .scale(scale);
+        softmax_rows(&mut scores);
+        Ok(scores)
+    }
+
     /// Returns the attention weights (after softmax) between `queries` and
     /// `context`, averaged over heads. Shape `(num_queries, num_context)`.
     ///
     /// The rerank stage uses this to expose which image patch the query text
     /// attends to, which in turn drives box selection.
     pub fn attention_weights(&self, queries: &Matrix, context: &Matrix) -> Result<Matrix> {
-        let model_dim = self.model_dim();
-        if queries.cols() != model_dim || context.cols() != model_dim {
-            return Err(TensorError::ShapeMismatch(format!(
-                "attention_weights: queries {}x{}, context {}x{}, model_dim {model_dim}",
-                queries.rows(),
-                queries.cols(),
-                context.rows(),
-                context.cols()
-            )));
-        }
-        let q = self.q_proj.forward(queries)?;
-        let k = self.k_proj.forward(context)?;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let q = self.project_q(queries)?;
+        let k = self.project_k(context)?;
         let mut avg = Matrix::zeros(queries.rows(), context.rows());
         for head in 0..self.num_heads {
-            let start = head * self.head_dim;
-            let end = start + self.head_dim;
-            let qh = q.columns(start, end)?;
-            let kh = k.columns(start, end)?;
-            let mut scores = qh.matmul_transposed(&kh)?.scale(scale);
-            softmax_rows(&mut scores);
-            avg = avg.add(&scores)?;
+            avg = avg.add(&self.head_weights(&q, &k, head)?)?;
         }
         Ok(avg.scale(1.0 / self.num_heads as f32))
     }
@@ -198,6 +222,43 @@ mod tests {
         for j in 0..5 {
             assert!((w.get(0, j) - 0.2).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn attend_on_projections_equals_cross_attention() {
+        let attn = MultiHeadAttention::new(8, 2, 5, "p").unwrap();
+        let q =
+            Matrix::from_vec(3, 8, (0..24).map(|v| (v % 5) as f32 * 0.3 - 0.5).collect()).unwrap();
+        let ctx = Matrix::from_vec(4, 8, (0..32).map(|v| (v % 7) as f32 * 0.1).collect()).unwrap();
+        let whole = attn.cross_attention(&q, &ctx).unwrap();
+        // Project the context one row at a time and the queries in a batch
+        // with extra rows: the rows `attend` sees are the same bits.
+        let k_rows: Vec<Vec<f32>> = (0..4)
+            .map(|r| {
+                let row = Matrix::row_vector(ctx.row(r));
+                attn.project_k(&row).unwrap().into_vec()
+            })
+            .collect();
+        let k = Matrix::from_rows(&k_rows).unwrap();
+        let v = attn.project_v(&ctx).unwrap();
+        let padded = Matrix::vstack(&[&q, &ctx]).unwrap();
+        let q_all = attn.project_q(&padded).unwrap();
+        let q_proj = q_all.gather_rows(&[0, 1, 2]).unwrap();
+        let split = attn.attend(&q_proj, &k, &v).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&whole), bits(&split));
+    }
+
+    #[test]
+    fn attend_rejects_mismatched_keys_and_values() {
+        let attn = MultiHeadAttention::new(8, 2, 5, "m").unwrap();
+        let q = Matrix::zeros(2, 8);
+        assert!(attn
+            .attend(&q, &Matrix::zeros(3, 8), &Matrix::zeros(2, 8))
+            .is_err());
+        assert!(attn
+            .attend(&q, &Matrix::zeros(3, 6), &Matrix::zeros(3, 6))
+            .is_err());
     }
 
     #[test]

@@ -324,6 +324,22 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
+    /// Returns a new matrix whose `i`-th row is a copy of row `indices[i]` of
+    /// `self` (repeats allowed). Errors if any index is out of range.
+    pub fn gather_rows(&self, indices: &[usize]) -> Result<Matrix> {
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &r in indices {
+            if r >= self.rows {
+                return Err(TensorError::InvalidArgument(format!(
+                    "gather_rows: row {r} out of 0..{}",
+                    self.rows
+                )));
+            }
+            data.extend_from_slice(self.row(r));
+        }
+        Matrix::from_vec(indices.len(), self.cols, data)
+    }
+
     /// Returns a copy of the given contiguous column range as a new matrix.
     pub fn columns(&self, start: usize, end: usize) -> Result<Matrix> {
         if start > end || end > self.cols {
@@ -429,6 +445,16 @@ mod tests {
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c.row(0), &[1.0, 2.0]);
         assert_eq!(c.row(1), &[5.0, 6.0]);
+    }
+
+    #[test]
+    fn gather_rows_copies_in_index_order() {
+        let a = Matrix::from_vec(3, 2, (0..6).map(|v| v as f32).collect()).unwrap();
+        let g = a.gather_rows(&[2, 0, 2]).unwrap();
+        assert_eq!(g.shape(), (3, 2));
+        assert_eq!(g.as_slice(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
+        assert_eq!(a.gather_rows(&[]).unwrap().shape(), (0, 2));
+        assert!(a.gather_rows(&[3]).is_err());
     }
 
     #[test]
