@@ -139,6 +139,13 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // serve workers, so a panic there loses the request.
                 "lovo-encoder/src/cross_modality.rs".to_string(),
                 "lovo-tensor/src/attention.rs".to_string(),
+                // The ingest pipeline: key-frame selection, the ordered
+                // parallel map over ingest workers, and the k-means under
+                // every segment seal. A panic there loses a whole batch
+                // (and, on a worker thread, used to abort the ingest).
+                "lovo-core/src/summary.rs".to_string(),
+                "lovo-video/src/keyframe.rs".to_string(),
+                "lovo-index/src/kmeans.rs".to_string(),
             ],
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),
@@ -147,6 +154,9 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // panics here takes down a scatter worker mid-gather.
                 "lovo-serve/src/shard".to_string(),
                 "lovo-core/src/exec.rs".to_string(),
+                "lovo-core/src/summary.rs".to_string(),
+                "lovo-video/src/keyframe.rs".to_string(),
+                "lovo-index/src/kmeans.rs".to_string(),
             ],
         },
         locks: LockConfig {

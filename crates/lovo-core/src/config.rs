@@ -38,8 +38,10 @@ pub struct LovoConfig {
     /// every patch (including pure background), matching the paper's
     /// class-agnostic indexing; small values trade recall for index size.
     pub min_objectness: f32,
-    /// Worker threads for the ingest-time visual encoding fan-out. `0` (the
-    /// default) uses all available parallelism.
+    /// Worker threads for the ingest-time key-frame extraction and visual
+    /// encoding fan-out. `0` (the default) uses all available parallelism.
+    /// Codebook training when a segment seals or compacts uses the hardware
+    /// threads whatever this value is.
     pub ingest_workers: usize,
     /// Rows at which a growing storage segment seals and builds its ANN
     /// index. Bounds per-segment build cost for incremental ingest; smaller

@@ -75,6 +75,9 @@ pub enum LovoError {
     Store(lovo_store::StoreError),
     /// The system is not in a state to serve the request.
     InvalidState(String),
+    /// An ingest worker thread panicked during the named stage; the batch
+    /// was not ingested.
+    WorkerLost(&'static str),
 }
 
 impl std::fmt::Display for LovoError {
@@ -83,6 +86,7 @@ impl std::fmt::Display for LovoError {
             LovoError::Encoder(e) => write!(f, "encoder error: {e}"),
             LovoError::Store(e) => write!(f, "storage error: {e}"),
             LovoError::InvalidState(msg) => write!(f, "invalid state: {msg}"),
+            LovoError::WorkerLost(stage) => write!(f, "an ingest worker panicked during {stage}"),
         }
     }
 }

@@ -10,10 +10,30 @@
 //! collection with a globally unique patch id, and its metadata row (video,
 //! frame, patch index, box, timestamp) goes to the relational store in the
 //! same per-frame batch, so the database write lock is taken once per frame
-//! rather than once per patch. Encoding is spread over a scoped thread pool
-//! sized by [`crate::LovoConfig::ingest_workers`]; the output is
-//! deterministic regardless of thread count because patch ids are assigned
-//! from the frame's position, not from completion order.
+//! rather than once per patch.
+//!
+//! The two per-frame stages run on [`crate::LovoConfig::ingest_workers`]
+//! scoped threads through one ordered, chunked parallel map: the batch's
+//! frames are cut into one contiguous chunk per worker (across video
+//! boundaries), and chunk outputs are concatenated in frame order.
+//!
+//! * **Key frames.** A worker computes the motion change of every frame in
+//!   its chunk. The change of frame `i` reads only frames `i - 1` and `i`,
+//!   so a chunk re-estimates the frame before its start and holds two
+//!   motion fields at a time. The threshold / `max_gap` scan over the
+//!   changes stays sequential per video.
+//! * **Encoding.** Each selected key frame is encoded independently.
+//! * **Insertion** stays sequential, in frame order. Sealing trains the new
+//!   segment's codebooks, whose per-subspace k-means runs the index spreads
+//!   over the hardware threads itself.
+//!
+//! No stage's output depends on the worker count: motion changes are a
+//! function of two frames, selection runs in frame order, encodings are
+//! collected in frame order, patch ids come from a frame's position, not from
+//! completion order, and k-means runs are seeded by subspace. Key frames,
+//! patch ids, segment contents, codebooks and answers are therefore
+//! bit-identical for any number of workers. A panicking worker surfaces as
+//! [`LovoError::WorkerLost`], never as a panic.
 
 use crate::config::LovoConfig;
 use crate::{LovoError, Result};
@@ -162,12 +182,7 @@ impl VideoSummarizer {
 
         // --- key-frame extraction (§IV-A) ---
         let keyframe_start = Instant::now();
-        let mut selected: Vec<(u32, &Frame)> = Vec::new();
-        for video in &videos.videos {
-            for idx in self.extractor.select_indices(&video.frames) {
-                selected.push((video.id, &video.frames[idx]));
-            }
-        }
+        let selected = self.select_keyframes(videos)?;
         stats.key_frames = selected.len();
         stats.keyframe_seconds = keyframe_start.elapsed().as_secs_f64();
 
@@ -269,42 +284,89 @@ impl VideoSummarizer {
         Ok(stats)
     }
 
-    /// Encodes the selected key frames, splitting the work across a scoped
-    /// thread pool of [`VideoSummarizer::workers`] threads.
+    /// Selects every video's key frames, in video then frame order. The
+    /// per-frame motion changes are computed on the workers; the selection
+    /// scan over them runs per video on the calling thread.
+    fn select_keyframes<'v>(&self, videos: &'v VideoCollection) -> Result<Vec<(u32, &'v Frame)>> {
+        let changes = if self.extractor.uses_motion() {
+            let positions: Vec<(&[Frame], usize)> = videos
+                .videos
+                .iter()
+                .flat_map(|video| (0..video.frames.len()).map(|i| (video.frames.as_slice(), i)))
+                .collect();
+            parallel_map(&positions, self.workers, "key-frame extraction", |chunk| {
+                let mut changes = Vec::with_capacity(chunk.len());
+                let mut rest = chunk;
+                while let Some(&(frames, first)) = rest.first() {
+                    // The chunk's positions in one video form one run.
+                    let run = rest
+                        .iter()
+                        .take_while(|(other, _)| std::ptr::eq(*other, frames))
+                        .count();
+                    changes.extend(self.extractor.motion_changes(frames, first..first + run));
+                    rest = rest.get(run..).unwrap_or_default();
+                }
+                Ok(changes)
+            })?
+        } else {
+            Vec::new()
+        };
+        let mut rest = changes.as_slice();
+        let mut selected = Vec::new();
+        for video in &videos.videos {
+            let (own, tail) = rest.split_at(video.frames.len().min(rest.len()));
+            rest = tail;
+            for idx in self.extractor.select_from_changes(video.frames.len(), own) {
+                if let Some(frame) = video.frames.get(idx) {
+                    selected.push((video.id, frame));
+                }
+            }
+        }
+        Ok(selected)
+    }
+
+    /// Encodes the selected key frames on the workers, in order.
     fn encode_parallel(&self, selected: &[(u32, &Frame)]) -> Result<Vec<FrameEncoding>> {
-        let workers = self.workers.max(1);
-        if workers == 1 || selected.len() < 32 {
-            return selected
+        parallel_map(selected, self.workers, "visual encoding", |chunk| {
+            chunk
                 .iter()
                 .map(|(_, frame)| self.encoder.encode_frame(frame).map_err(LovoError::from))
-                .collect();
-        }
-        let chunk_size = selected.len().div_ceil(workers);
-        let chunks: Vec<&[(u32, &Frame)]> = selected.chunks(chunk_size).collect();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(_, frame)| self.encoder.encode_frame(frame))
-                            .collect::<std::result::Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("encoder worker panicked"))
-                .collect::<Vec<_>>()
-        });
-
-        let mut encodings = Vec::with_capacity(selected.len());
-        for chunk_result in results {
-            encodings.extend(chunk_result.map_err(LovoError::from)?);
-        }
-        Ok(encodings)
+                .collect()
+        })
     }
+}
+
+/// Maps `items` through `f` one contiguous chunk per worker, on up to
+/// `workers` scoped threads, and concatenates the chunk outputs in item
+/// order, so the output does not depend on the worker count. `f` sees a
+/// whole chunk so it can carry state from one item to the next. The first
+/// error in item order wins; a panicking worker becomes
+/// [`LovoError::WorkerLost`] naming `stage`.
+fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    stage: &'static str,
+    f: impl Fn(&[T]) -> Result<Vec<R>> + Sync,
+) -> Result<Vec<R>> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return f(items);
+    }
+    let f = &f;
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| scope.spawn(move || f(chunk)))
+            .collect();
+        // Join every worker before looking at any result: a scope with an
+        // unjoined panicked thread panics itself.
+        handles.into_iter().map(|handle| handle.join()).collect()
+    });
+    let mut out = Vec::with_capacity(items.len());
+    for chunk in joined {
+        out.extend(chunk.map_err(|_| LovoError::WorkerLost(stage))??);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -462,6 +524,128 @@ mod tests {
         // Same frames, same patches, regardless of thread count.
         assert_eq!(serial_stats.key_frames, parallel_stats.key_frames);
         assert_eq!(serial_stats.patches_indexed, parallel_stats.patches_indexed);
+    }
+
+    /// (video id, frame index) of each selected key frame.
+    fn keyframe_keys(selected: &[(u32, &Frame)]) -> Vec<(u32, usize)> {
+        selected
+            .iter()
+            .map(|(video, frame)| (*video, frame.index))
+            .collect()
+    }
+
+    #[test]
+    fn chunked_keyframe_selection_equals_single_chunk_selection() {
+        use lovo_video::keyframe::KeyframePolicy;
+        let policies = [
+            KeyframePolicy::default(),
+            // Dense key frames, so many land on a chunk's first frame.
+            KeyframePolicy::MotionAdaptive {
+                motion_threshold: 0.05,
+                max_gap: 4,
+            },
+            KeyframePolicy::FixedInterval { interval: 7 },
+            KeyframePolicy::AllFrames,
+        ];
+        let mut keyframes_on_chunk_edges = 0;
+        for kind in [DatasetKind::Bellevue, DatasetKind::Cityscapes] {
+            // Three videos of an odd length: chunks straddle video ends.
+            let videos = VideoCollection::generate(
+                DatasetConfig::for_kind(kind)
+                    .with_num_videos(3)
+                    .with_frames_per_video(23)
+                    .with_seed(13),
+            );
+            let total = videos.total_frames();
+            for policy in policies {
+                let single = VideoSummarizer::new(
+                    &LovoConfig::default()
+                        .with_keyframe_policy(policy)
+                        .with_ingest_workers(1),
+                )
+                .unwrap();
+                // The reference: each video selected in one piece.
+                let reference: Vec<(u32, usize)> = videos
+                    .videos
+                    .iter()
+                    .flat_map(|video| {
+                        single
+                            .extractor
+                            .select_indices(&video.frames)
+                            .into_iter()
+                            .map(move |i| (video.id, i))
+                    })
+                    .collect();
+                for workers in [1, 2, 3, 7, total + 5] {
+                    let summarizer = VideoSummarizer::new(
+                        &LovoConfig::default()
+                            .with_keyframe_policy(policy)
+                            .with_ingest_workers(workers),
+                    )
+                    .unwrap();
+                    let selected = summarizer.select_keyframes(&videos).unwrap();
+                    assert_eq!(
+                        keyframe_keys(&selected),
+                        reference,
+                        "{kind:?} {policy:?} workers={workers}"
+                    );
+                    // Count key frames whose motion change a chunk computed
+                    // from a re-estimated predecessor (its first position).
+                    let chunk = total.div_ceil(workers.min(total));
+                    let mut position = 0;
+                    for video in &videos.videos {
+                        for idx in single.extractor.select_indices(&video.frames) {
+                            let flat = position + idx;
+                            if idx > 0 && flat % chunk == 0 && summarizer.extractor.uses_motion() {
+                                keyframes_on_chunk_edges += 1;
+                            }
+                        }
+                        position += video.frames.len();
+                    }
+                }
+            }
+        }
+        assert!(
+            keyframes_on_chunk_edges > 0,
+            "no key frame fell on a chunk edge"
+        );
+    }
+
+    #[test]
+    fn parallel_map_keeps_item_order_and_reports_lost_workers() {
+        let items: Vec<u32> = (0..29).collect();
+        for workers in [1, 2, 3, 7, 40] {
+            let doubled = parallel_map(&items, workers, "test", |chunk| {
+                Ok(chunk.iter().map(|x| x * 2).collect())
+            })
+            .unwrap();
+            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        }
+        let empty: Vec<u32> =
+            parallel_map(&[], 4, "test", |chunk: &[u32]| Ok(chunk.to_vec())).unwrap();
+        assert!(empty.is_empty());
+        // The first error in item order wins.
+        let err = parallel_map(&items, 3, "test", |chunk| {
+            if chunk.contains(&5) || chunk.contains(&25) {
+                Err(LovoError::InvalidState(format!("chunk from {}", chunk[0])))
+            } else {
+                Ok(chunk.to_vec())
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "invalid state: chunk from 0");
+        // A panicking worker is a typed error, not a panic.
+        let lost = parallel_map(&items, 3, "the test stage", |chunk| {
+            if chunk.contains(&20) {
+                panic!("worker down");
+            }
+            Ok(chunk.to_vec())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(lost, LovoError::WorkerLost("the test stage")),
+            "{lost}"
+        );
     }
 
     #[test]

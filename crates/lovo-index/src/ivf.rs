@@ -22,7 +22,7 @@
 //!   merged.
 
 use crate::fastscan::{FastScanCodes, FastScanKernel, QuantizedLut, FASTSCAN_CENTROIDS};
-use crate::kmeans::{lloyd, nearest_centroid, KMeansConfig};
+use crate::kmeans::{train_subspaces, Centroids};
 use crate::metric::dot;
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::quant::Int8Arena;
@@ -182,8 +182,8 @@ impl Cell {
 /// The trained portion of the index.
 #[derive(Debug, Clone)]
 struct BuiltState {
-    /// `coarse_codebooks[p][m]` is centroid `m` of coarse subspace `p`.
-    coarse_codebooks: Vec<Vec<Vec<f32>>>,
+    /// `coarse_codebooks[p]` holds the centroids of coarse subspace `p`.
+    coarse_codebooks: Vec<Centroids>,
     /// Residual product quantizer.
     pq: ProductQuantizer,
     /// Cells keyed by the packed per-subspace centroid codes.
@@ -243,45 +243,13 @@ impl IvfPqIndex {
         key
     }
 
-    /// Assigns a vector to its cell: nearest coarse centroid per subspace.
-    fn assign_cell(&self, built: &BuiltState, vector: &[f32]) -> (u64, Vec<usize>) {
-        let sub_dim = self.config.coarse_subspace_dim();
-        let codes: Vec<usize> = built
-            .coarse_codebooks
-            .iter()
-            .enumerate()
-            .map(|(p, codebook)| {
-                nearest_centroid(&vector[p * sub_dim..(p + 1) * sub_dim], codebook)
-            })
-            .collect();
-        (Self::pack_cell_key(&codes), codes)
-    }
-
-    /// Concatenated coarse centroid for a set of per-subspace codes.
-    fn cell_centroid(&self, built: &BuiltState, codes: &[usize]) -> Vec<f32> {
-        let mut centroid = Vec::with_capacity(self.config.dim);
-        for (p, &c) in codes.iter().enumerate() {
-            centroid.extend_from_slice(&built.coarse_codebooks[p][c]);
-        }
-        centroid
-    }
-
     fn insert_built(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
-        let built = self
-            .built
-            .as_ref()
-            .ok_or_else(|| IndexError::InvalidState("insert_built called before build".into()))?;
-        let (key, codes) = self.assign_cell(built, vector);
-        let centroid = self.cell_centroid(built, &codes);
-        let residual: Vec<f32> = vector
-            .iter()
-            .zip(centroid.iter())
-            .map(|(v, c)| v - c)
-            .collect();
         let built = self
             .built
             .as_mut()
             .ok_or_else(|| IndexError::InvalidState("insert_built called before build".into()))?;
+        let (codes, residual) = coarse_residual(&built.coarse_codebooks, vector)?;
+        let key = Self::pack_cell_key(&codes);
         let code = built.pq.encode(&residual)?;
         let dim = self.config.dim;
         let row = match built.id_rows.entry(id) {
@@ -363,7 +331,6 @@ impl IvfPqIndex {
 
         // --- Training: the exact sequence of `build()` over these rows. ---
         let data = rows.as_slice();
-        let sub_dim = config.coarse_subspace_dim();
         let sample_len = ids.len().min(config.max_training_sample);
         let stride = (ids.len() / sample_len).max(1);
         let sample: Vec<&[f32]> = (0..ids.len())
@@ -371,33 +338,7 @@ impl IvfPqIndex {
             .take(sample_len)
             .map(|i| &data[i * dim..(i + 1) * dim])
             .collect();
-        let mut coarse_codebooks = Vec::with_capacity(config.coarse_subspaces);
-        for p in 0..config.coarse_subspaces {
-            let sub_points: Vec<Vec<f32>> = sample
-                .iter()
-                .map(|v| v[p * sub_dim..(p + 1) * sub_dim].to_vec())
-                .collect();
-            let km = lloyd(
-                &sub_points,
-                sub_dim,
-                &KMeansConfig::new(config.coarse_centroids)
-                    .with_seed(config.seed ^ (p as u64 + 1).wrapping_mul(0xABCD)),
-            )?;
-            coarse_codebooks.push(km.centroids);
-        }
-        let residual_sample: Vec<Vec<f32>> = sample
-            .iter()
-            .map(|v| {
-                let mut residual = Vec::with_capacity(dim);
-                for (p, codebook) in coarse_codebooks.iter().enumerate() {
-                    let sub = &v[p * sub_dim..(p + 1) * sub_dim];
-                    let c = &codebook[nearest_centroid(sub, codebook)];
-                    residual.extend(sub.iter().zip(c.iter()).map(|(a, b)| a - b));
-                }
-                residual
-            })
-            .collect();
-        let pq = ProductQuantizer::train(config.pq, &residual_sample)?;
+        let (coarse_codebooks, pq) = train(&config, &sample, 0)?;
 
         // --- Cell assignment: `insert_built` for each row in order, minus
         // the arena writes (rows already live in the adopted store; unique
@@ -408,24 +349,8 @@ impl IvfPqIndex {
         let mut arena_i8 = config.int8_rescore.then(|| Int8Arena::new(dim));
         for (i, &id) in ids.iter().enumerate() {
             let vector = &data[i * dim..(i + 1) * dim];
-            let codes: Vec<usize> = coarse_codebooks
-                .iter()
-                .enumerate()
-                .map(|(p, codebook)| {
-                    nearest_centroid(&vector[p * sub_dim..(p + 1) * sub_dim], codebook)
-                })
-                .collect();
+            let (codes, residual) = coarse_residual(&coarse_codebooks, vector)?;
             let key = Self::pack_cell_key(&codes);
-            let mut residual = Vec::with_capacity(dim);
-            for (p, &c) in codes.iter().enumerate() {
-                let centroid = &coarse_codebooks[p][c];
-                residual.extend(
-                    vector[p * sub_dim..(p + 1) * sub_dim]
-                        .iter()
-                        .zip(centroid.iter())
-                        .map(|(v, c)| v - c),
-                );
-            }
             let code = pq.encode(&residual)?;
             let cell = cells.entry(key).or_default();
             cell.ids.push(id);
@@ -470,6 +395,51 @@ impl IvfPqIndex {
     }
 }
 
+/// Trains the coarse codebooks on `sample`, then the residual PQ on the
+/// sample's residuals: the training half of both [`VectorIndex::build`] and
+/// [`IvfPqIndex::build_from_rows`]. Each stage's per-subspace k-means runs
+/// are spread over `threads` workers (`0` = automatic, see
+/// [`train_subspaces`]); the codebooks do not depend on the thread count.
+fn train(
+    config: &IvfPqConfig,
+    sample: &[&[f32]],
+    threads: usize,
+) -> Result<(Vec<Centroids>, ProductQuantizer)> {
+    let coarse = train_subspaces(
+        sample,
+        config.coarse_subspace_dim(),
+        config.coarse_subspaces,
+        config.coarse_centroids,
+        |p| config.seed ^ (p as u64 + 1).wrapping_mul(0xABCD),
+        threads,
+    )?;
+    let residuals = sample
+        .iter()
+        .map(|v| Ok(coarse_residual(&coarse, v)?.1))
+        .collect::<Result<Vec<_>>>()?;
+    let pq = ProductQuantizer::train_with_threads(config.pq, &residuals, threads)?;
+    Ok((coarse, pq))
+}
+
+/// A vector's cell codes (its nearest centroid in each coarse subspace) and
+/// its residual against the concatenation of those centroids.
+fn coarse_residual(coarse: &[Centroids], vector: &[f32]) -> Result<(Vec<usize>, Vec<f32>)> {
+    let mut codes = Vec::with_capacity(coarse.len());
+    let mut residual = Vec::with_capacity(vector.len());
+    let mut rest = vector;
+    for codebook in coarse {
+        let (sub, tail) = rest.split_at(codebook.dim().min(rest.len()));
+        rest = tail;
+        let code = codebook.nearest(sub);
+        let centroid = codebook.row(code).ok_or_else(|| {
+            IndexError::InvalidState("coarse codebook is missing its nearest centroid".into())
+        })?;
+        residual.extend(sub.iter().zip(centroid).map(|(v, c)| v - c));
+        codes.push(code);
+    }
+    Ok((codes, residual))
+}
+
 impl VectorIndex for IvfPqIndex {
     fn dim(&self) -> usize {
         self.config.dim
@@ -505,48 +475,17 @@ impl VectorIndex for IvfPqIndex {
                 "cannot build an IVF-PQ index with no vectors".into(),
             ));
         }
-        let sub_dim = self.config.coarse_subspace_dim();
         let sample_len = self.pending.len().min(self.config.max_training_sample);
         // Deterministic stride sampling keeps training cheap on huge inserts.
         let stride = (self.pending.len() / sample_len).max(1);
-        let sample: Vec<&Vec<f32>> = self
+        let sample: Vec<&[f32]> = self
             .pending
             .iter()
             .step_by(stride)
             .take(sample_len)
-            .map(|(_, v)| v)
+            .map(|(_, v)| v.as_slice())
             .collect();
-
-        // Train the coarse codebook of each subspace.
-        let mut coarse_codebooks = Vec::with_capacity(self.config.coarse_subspaces);
-        for p in 0..self.config.coarse_subspaces {
-            let sub_points: Vec<Vec<f32>> = sample
-                .iter()
-                .map(|v| v[p * sub_dim..(p + 1) * sub_dim].to_vec())
-                .collect();
-            let km = lloyd(
-                &sub_points,
-                sub_dim,
-                &KMeansConfig::new(self.config.coarse_centroids)
-                    .with_seed(self.config.seed ^ (p as u64 + 1).wrapping_mul(0xABCD)),
-            )?;
-            coarse_codebooks.push(km.centroids);
-        }
-
-        // Compute residuals of the training sample and train the PQ on them.
-        let residual_sample: Vec<Vec<f32>> = sample
-            .iter()
-            .map(|v| {
-                let mut residual = Vec::with_capacity(self.config.dim);
-                for (p, codebook) in coarse_codebooks.iter().enumerate() {
-                    let sub = &v[p * sub_dim..(p + 1) * sub_dim];
-                    let c = &codebook[nearest_centroid(sub, codebook)];
-                    residual.extend(sub.iter().zip(c.iter()).map(|(a, b)| a - b));
-                }
-                residual
-            })
-            .collect();
-        let pq = ProductQuantizer::train(self.config.pq, &residual_sample)?;
+        let (coarse_codebooks, pq) = train(&self.config, &sample, 0)?;
 
         self.built = Some(BuiltState {
             coarse_codebooks,
@@ -852,6 +791,23 @@ mod tests {
         ivf.build().unwrap();
         flat.build().unwrap();
         (ivf, flat, vectors)
+    }
+
+    #[test]
+    fn codebooks_do_not_depend_on_training_threads() {
+        let (ivf, _, vectors) = build_index(600, 32, 17);
+        let sample: Vec<&[f32]> = vectors.iter().map(Vec::as_slice).collect();
+        let config = IvfPqConfig::for_dim(32);
+        let (coarse, pq) = train(&config, &sample, 1).unwrap();
+        for threads in [2, 3, 8] {
+            let (parallel_coarse, parallel_pq) = train(&config, &sample, threads).unwrap();
+            assert_eq!(parallel_coarse, coarse, "threads={threads}");
+            assert_eq!(parallel_pq, pq, "threads={threads}");
+        }
+        // `build` trains with the automatic thread count.
+        let built = ivf.built.as_ref().unwrap();
+        assert_eq!(built.coarse_codebooks, coarse);
+        assert_eq!(built.pq, pq);
     }
 
     #[test]

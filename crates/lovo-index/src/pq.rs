@@ -8,7 +8,7 @@
 //! tabulated once, after which scoring any stored code is `P` table lookups —
 //! this is the "distance lookup-table" Algorithm 1 references.
 
-use crate::kmeans::{lloyd, nearest_centroid, KMeansConfig};
+use crate::kmeans::{train_subspaces, Centroids};
 use crate::metric::dot;
 use crate::{IndexError, Result};
 use serde::{Deserialize, Serialize};
@@ -89,11 +89,12 @@ impl PqCode {
 }
 
 /// A trained product quantizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProductQuantizer {
     config: PqConfig,
-    /// `codebooks[p][m]` is the `m`-th centroid of subspace `p` (length `subspace_dim`).
-    codebooks: Vec<Vec<Vec<f32>>>,
+    /// `codebooks[p]` holds the centroids of subspace `p` (each of length
+    /// `subspace_dim`).
+    codebooks: Vec<Centroids>,
 }
 
 /// ADC lookup table for one query, stored as one contiguous strided buffer:
@@ -206,36 +207,33 @@ impl ProductQuantizer {
     /// the number of centroids, duplicated points pad the codebooks (the
     /// k-means trainer guarantees the requested codebook size).
     pub fn train(config: PqConfig, sample: &[Vec<f32>]) -> Result<Self> {
+        Self::train_with_threads(config, sample, 0)
+    }
+
+    /// [`ProductQuantizer::train`] with the subspace k-means runs spread
+    /// over `threads` workers (`0` = automatic; see
+    /// [`crate::kmeans::train_subspaces`]). The codebooks do not depend on
+    /// the thread count.
+    pub(crate) fn train_with_threads(
+        config: PqConfig,
+        sample: &[Vec<f32>],
+        threads: usize,
+    ) -> Result<Self> {
         config.validate()?;
         if sample.is_empty() {
             return Err(IndexError::InvalidState(
                 "cannot train PQ on an empty sample".into(),
             ));
         }
-        let sub_dim = config.subspace_dim();
-        let mut codebooks = Vec::with_capacity(config.num_subspaces);
-        for p in 0..config.num_subspaces {
-            let sub_points: Vec<Vec<f32>> = sample
-                .iter()
-                .map(|v| {
-                    if v.len() != config.dim {
-                        Err(IndexError::DimensionMismatch {
-                            expected: config.dim,
-                            actual: v.len(),
-                        })
-                    } else {
-                        Ok(v[p * sub_dim..(p + 1) * sub_dim].to_vec())
-                    }
-                })
-                .collect::<Result<_>>()?;
-            let km = lloyd(
-                &sub_points,
-                sub_dim,
-                &KMeansConfig::new(config.centroids_per_subspace)
-                    .with_seed(config.seed ^ (p as u64).wrapping_mul(0x9e37_79b9)),
-            )?;
-            codebooks.push(km.centroids);
-        }
+        let rows: Vec<&[f32]> = sample.iter().map(Vec::as_slice).collect();
+        let codebooks = train_subspaces(
+            &rows,
+            config.subspace_dim(),
+            config.num_subspaces,
+            config.centroids_per_subspace,
+            |p| config.seed ^ (p as u64).wrapping_mul(0x9e37_79b9),
+            threads,
+        )?;
         Ok(Self { config, codebooks })
     }
 
@@ -252,12 +250,10 @@ impl ProductQuantizer {
                 actual: vector.len(),
             });
         }
-        let sub_dim = self.config.subspace_dim();
-        let codes = (0..self.config.num_subspaces)
-            .map(|p| {
-                let sub = &vector[p * sub_dim..(p + 1) * sub_dim];
-                nearest_centroid(sub, &self.codebooks[p]) as u8
-            })
+        let codes = vector
+            .chunks_exact(self.config.subspace_dim())
+            .zip(&self.codebooks)
+            .map(|(sub, codebook)| codebook.nearest(sub) as u8)
             .collect();
         Ok(PqCode(codes))
     }
@@ -276,7 +272,7 @@ impl ProductQuantizer {
             let centroid = self
                 .codebooks
                 .get(p)
-                .and_then(|cb| cb.get(c as usize))
+                .and_then(|cb| cb.row(c as usize))
                 .ok_or_else(|| {
                     IndexError::InvalidState("code references missing centroid".into())
                 })?;
@@ -372,6 +368,26 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn codebooks_do_not_depend_on_training_threads() {
+        let sample = random_unit_vectors(400, 32, 11);
+        let config = PqConfig {
+            dim: 32,
+            num_subspaces: 8,
+            centroids_per_subspace: 16,
+            seed: 5,
+        };
+        let serial = ProductQuantizer::train_with_threads(config, &sample, 1).unwrap();
+        for threads in [0, 2, 3, 8, 20] {
+            let parallel = ProductQuantizer::train_with_threads(config, &sample, threads).unwrap();
+            assert_eq!(parallel.codebooks, serial.codebooks, "threads={threads}");
+        }
+        assert_eq!(
+            ProductQuantizer::train(config, &sample).unwrap().codebooks,
+            serial.codebooks
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! a single [`KeyframeExtractor`], which is the component the ablation
 //! "w/o Key frame" (Table IV) switches off by selecting [`KeyframePolicy::AllFrames`].
 
-use crate::motion::{MotionEstimator, MotionField};
+use crate::motion::{MotionEstimator, MotionField, NoiseTable};
 use crate::scene::Frame;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which strategy the extractor uses to nominate key frames.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,56 +67,98 @@ impl KeyframeExtractor {
     /// The first frame of a non-empty video is always a key frame: something
     /// must summarize the opening content.
     pub fn select_indices(&self, frames: &[Frame]) -> Vec<usize> {
-        if frames.is_empty() {
+        let changes = if self.uses_motion() {
+            self.motion_changes(frames, 0..frames.len())
+        } else {
+            Vec::new()
+        };
+        self.select_from_changes(frames.len(), &changes)
+    }
+
+    /// True when the policy reads per-frame motion changes, i.e. when
+    /// [`KeyframeExtractor::motion_changes`] is worth computing.
+    pub fn uses_motion(&self) -> bool {
+        matches!(self.policy, KeyframePolicy::MotionAdaptive { .. })
+    }
+
+    /// The motion change of every frame in `range` against the frame
+    /// before it (0 for a video's first frame): the statistic the
+    /// motion-adaptive policy thresholds.
+    ///
+    /// The change of frame `i` reads only frames `i - 1` and `i`, so any
+    /// split of a video into ranges yields the same values as one range
+    /// over the whole video; a range re-estimates the frame before its
+    /// start. At most two motion fields are alive at a time.
+    pub fn motion_changes(&self, frames: &[Frame], range: Range<usize>) -> Vec<f32> {
+        let frames_in_range = frames.get(range.clone()).unwrap_or_default();
+        let mut changes = Vec::with_capacity(frames_in_range.len());
+        let mut noise = NoiseTable::default();
+        let mut previous = range
+            .start
+            .checked_sub(1)
+            .and_then(|i| frames.get(i))
+            .map(|frame| {
+                let mut field = MotionField::default();
+                self.estimator.estimate_into(frame, &mut field, &mut noise);
+                field
+            });
+        let mut current = MotionField::default();
+        for frame in frames_in_range {
+            self.estimator
+                .estimate_into(frame, &mut current, &mut noise);
+            changes.push(
+                previous
+                    .as_ref()
+                    .map_or(0.0, |prev| self.estimator.motion_change(prev, &current)),
+            );
+            // The field just estimated is the next frame's predecessor; the
+            // old predecessor's buffer is reused for the next estimate.
+            let spent = previous.replace(std::mem::take(&mut current));
+            current = spent.unwrap_or_default();
+        }
+        changes
+    }
+
+    /// Selects the key frames of a `len`-frame video given its per-frame
+    /// motion changes (`changes[i]` for frame `i`, as
+    /// [`KeyframeExtractor::motion_changes`] computes them). Only the
+    /// motion-adaptive policy reads `changes`; the others may pass an empty
+    /// slice. A missing change counts as no motion.
+    pub fn select_from_changes(&self, len: usize, changes: &[f32]) -> Vec<usize> {
+        if len == 0 {
             return Vec::new();
         }
         match self.policy {
-            KeyframePolicy::AllFrames => (0..frames.len()).collect(),
+            KeyframePolicy::AllFrames => (0..len).collect(),
             KeyframePolicy::FixedInterval { interval } => {
                 let step = interval.max(1);
-                (0..frames.len()).step_by(step).collect()
+                (0..len).step_by(step).collect()
             }
             KeyframePolicy::MotionAdaptive {
                 motion_threshold,
                 max_gap,
-            } => self.select_motion_adaptive(frames, motion_threshold, max_gap.max(1)),
-        }
-    }
-
-    fn select_motion_adaptive(
-        &self,
-        frames: &[Frame],
-        threshold: f32,
-        max_gap: usize,
-    ) -> Vec<usize> {
-        let mut selected = vec![0];
-        let mut previous_field: Option<MotionField> = None;
-        let mut last_selected = 0usize;
-        for (i, frame) in frames.iter().enumerate() {
-            let field = self.estimator.estimate(frame);
-            if i == 0 {
-                previous_field = Some(field);
-                continue;
+            } => {
+                let max_gap = max_gap.max(1);
+                let mut selected = vec![0];
+                let mut last_selected = 0usize;
+                for i in 1..len {
+                    let change = changes.get(i).copied().unwrap_or(0.0);
+                    let gap_exceeded = i - last_selected >= max_gap;
+                    if change > motion_threshold || gap_exceeded {
+                        selected.push(i);
+                        last_selected = i;
+                    }
+                }
+                selected
             }
-            let change = previous_field
-                .as_ref()
-                .map(|prev| self.estimator.motion_change(prev, &field))
-                .unwrap_or(0.0);
-            let gap_exceeded = i - last_selected >= max_gap;
-            if change > threshold || gap_exceeded {
-                selected.push(i);
-                last_selected = i;
-            }
-            previous_field = Some(field);
         }
-        selected
     }
 
     /// Convenience wrapper returning cloned key frames rather than indices.
     pub fn select<'a>(&self, frames: &'a [Frame]) -> Vec<&'a Frame> {
         self.select_indices(frames)
             .into_iter()
-            .map(|i| &frames[i])
+            .filter_map(|i| frames.get(i))
             .collect()
     }
 
@@ -210,6 +253,26 @@ mod tests {
         let frames = video_with_burst(45, 1000);
         let selected = ex.select_indices(&frames);
         assert_eq!(selected, vec![0, 10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn split_ranges_reproduce_whole_video_motion_changes() {
+        let ex = KeyframeExtractor::default();
+        let frames = video_with_burst(40, 12);
+        let whole = ex.motion_changes(&frames, 0..frames.len());
+        assert_eq!(whole.len(), 40);
+        assert_eq!(whole[0], 0.0);
+        for cut in [1, 12, 13, 39] {
+            let mut split = ex.motion_changes(&frames, 0..cut);
+            split.extend(ex.motion_changes(&frames, cut..frames.len()));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split), bits(&whole), "cut at {cut}");
+        }
+        assert!(ex.motion_changes(&frames, 50..60).is_empty());
+        assert_eq!(
+            ex.select_from_changes(frames.len(), &whole),
+            ex.select_indices(&frames)
+        );
     }
 
     #[test]

@@ -105,11 +105,7 @@ impl Frame {
                 }
             })
             .collect();
-        hits.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.track.cmp(&b.0.track))
-        });
+        hits.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.track.cmp(&b.0.track)));
         hits
     }
 
